@@ -27,9 +27,13 @@ IPC is deliberately boring: a duplex pipe per shard carrying
 ``(request_id, op, payload)`` down and ``(request_id, ok, result)`` up,
 with errors crossing as ``(class_name, message)`` pairs — exception
 *instances* are never pickled across the boundary (a crashed shard
-can't be trusted to produce picklable ones).  Spawn context, not fork:
-the edge process runs an event loop and reader threads, and forking a
-threaded process is how you inherit locks in undefined states.
+can't be trusted to produce picklable ones).  A shard runs no pipe
+threads: a ``loop.add_reader`` callback drains its end onto the event
+loop, and replies leave by a direct ``send`` from the loop, which cannot
+stall because the edge always drains (a reader thread per shard).
+Spawn context, not fork: the edge process runs an event loop and reader
+threads, and forking a threaded process is how you inherit locks in
+undefined states.
 """
 
 from __future__ import annotations
@@ -141,20 +145,12 @@ async def _shard_serve(index: int, conn, options: dict[str, Any]) -> None:
     await service.start()
 
     loop = asyncio.get_running_loop()
-    send_lock = threading.Lock()
-    send_pool = ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix=f"shard-{index}-send"
-    )
 
-    def _send(message: tuple) -> None:
-        with send_lock:
-            conn.send(message)
-
-    async def reply(request_id, ok: bool, result) -> None:
-        try:
-            await loop.run_in_executor(send_pool, _send, (request_id, ok, result))
+    def reply(request_id, ok: bool, result) -> None:
+        try:  # on the loop: the edge always drains (module docstring)
+            conn.send((request_id, ok, result))
         except (BrokenPipeError, OSError):
-            pass  # the edge died; the drain path below will notice EOF
+            pass  # the edge died; the serve loop below will notice EOF
 
     registry = default_registry()
 
@@ -172,45 +168,52 @@ async def _shard_serve(index: int, conn, options: dict[str, Any]) -> None:
     async def handle(request_id, op: str, payload: dict[str, Any]) -> None:
         try:
             if op == "ping":
-                await reply(request_id, True, {"pid": os.getpid()})
-                return
-            if op == "stats":
-                await reply(request_id, True, _stats_payload())
-                return
-            result = await _execute(service, op, payload)
-            await reply(request_id, True, result)
+                result = {"pid": os.getpid()}
+            elif op == "stats":
+                result = _stats_payload()
+            else:
+                result = await _execute(service, op, payload)
+            reply(request_id, True, result)
         except ReproError as exc:
-            await reply(request_id, False, (type(exc).__name__, str(exc)))
+            reply(request_id, False, (type(exc).__name__, str(exc)))
         except Exception as exc:  # noqa: BLE001 — never let a request kill the shard
             logger.exception("shard %d: unexpected error in %s", index, op)
-            await reply(
-                request_id, False, ("ReproError", f"shard error: {exc!r}")
-            )
+            reply(request_id, False, ("ReproError", f"shard error: {exc!r}"))
 
+    inbox: asyncio.Queue = asyncio.Queue()
+
+    def on_readable() -> None:
+        try:
+            while conn.poll():
+                inbox.put_nowait(conn.recv())
+        except (EOFError, OSError):
+            loop.remove_reader(conn.fileno())
+            inbox.put_nowait(None)  # the edge process died
+
+    loop.add_reader(conn.fileno(), on_readable)
     pending: set[asyncio.Task] = set()
     draining = False
     while not draining:
-        try:
-            message = await loop.run_in_executor(None, conn.recv)
-        except (EOFError, OSError):
-            break  # the edge process died; shut down quietly
+        message = await inbox.get()
+        if message is None:
+            break  # shut down quietly
         request_id, op, payload = message
         if op == "drain":
             draining = True
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
             clean = await service.drain(payload.get("timeout"))
-            await reply(request_id, True, {"clean": clean})
+            reply(request_id, True, {"clean": clean})
             break
         task = asyncio.ensure_future(handle(request_id, op, payload))
         pending.add(task)
         task.add_done_callback(pending.discard)
 
+    loop.remove_reader(conn.fileno())
     if pending:
         await asyncio.gather(*pending, return_exceptions=True)
     if not draining:
         await service.drain(0.0)
-    send_pool.shutdown(wait=True)
 
 
 async def _execute(service, op: str, payload: dict[str, Any]) -> dict[str, Any]:
@@ -256,13 +259,13 @@ async def _execute(service, op: str, payload: dict[str, Any]) -> dict[str, Any]:
 class _ShardHandle:
     """One shard process as seen from the edge event loop.
 
-    Owns the process, its pipe, a reader thread (blocking ``recv`` off
-    the loop; EOF is the crash signal), and a single-thread send
-    executor (``Connection.send`` can block on a full pipe — never on
-    the event loop).  Respawn is single-flight behind ``_respawn_lock``
-    with exponential backoff, and every pipe message carries through a
-    generation check so a stale reader thread from a dead process can
-    never touch the replacement's in-flight table.
+    Owns the process, its pipe, a reader thread that never stops
+    draining it (so the shard's on-loop sends cannot stall; EOF is the
+    crash signal), and a single-thread send executor (a send can block
+    on a full pipe — never on the event loop).  Respawn is single-flight
+    behind ``_respawn_lock`` with exponential backoff, and every pipe
+    message carries a generation check so a stale reader thread from a
+    dead process cannot touch the replacement's in-flight table.
     """
 
     def __init__(

@@ -55,6 +55,9 @@ __all__ = ["EdgeConfig", "EdgeServer", "BATCH_CONTENT_TYPE"]
 BATCH_CONTENT_TYPE = "application/x-repro-batch"
 
 _ROUTES = frozenset({"solve", "containment", "datalog", "batch"})
+#: Every endpoint; any other path is labelled ``route="other"`` in the
+#: request counter, so scanned or fuzzed paths add no new series.
+_ENDPOINTS = _ROUTES | {"healthz", "metrics"}
 
 
 @dataclass(frozen=True)
@@ -242,6 +245,8 @@ class EdgeServer:
     async def _respond(self, request: HttpRequest) -> bytes:
         """One request → one deterministic response byte string."""
         route = request.path.removeprefix("/v1/")
+        if route not in _ENDPOINTS or request.path != f"/v1/{route}":
+            route = "other"
         started = time.perf_counter()
         try:
             response = await self._dispatch(request, route)
@@ -287,7 +292,7 @@ class EdgeServer:
                 text.encode(),
                 content_type="text/plain; version=0.0.4",
             )
-        if route not in _ROUTES or request.path != f"/v1/{route}":
+        if route not in _ROUTES:
             raise EdgeProtocolError(404, f"no such endpoint: {request.path}")
         self._expect_method(request, "POST")
         if self._draining:

@@ -17,15 +17,15 @@ databases.  :class:`SolveService` is that serving layer:
   the running computation and receive the identical ``Solution`` object.
   Nothing about results is cached beyond the in-flight window, so a
   failed or timed-out solve can never poison later answers.
-* **Backends** — every request is first planned on a worker thread: the
-  target is compiled through the shared sharded cache and
-  :mod:`repro.kernel.estimate` predicts the cost of the *chosen* solving
-  route (search, treewidth DP, or — with planner routing on — the
-  k-pebble game).  Cheap requests (the paper's polynomial islands,
-  bounded-width DP solves, small searches) are solved right there on
-  the thread — no serialization, shared caches; expensive ones
-  (backtracking-heavy) are shipped to a process-pool worker, escaping
-  the GIL so they cannot stall the rest of the traffic.  Each worker
+* **Backends** — every request starts on a worker thread that compiles
+  the target through the shared sharded cache; with a process backend,
+  :mod:`repro.kernel.estimate` predicts the cost of the *chosen* route
+  (search, treewidth DP, or — with planner routing on — the k-pebble
+  game).  Cheap requests (the paper's polynomial islands, bounded-width
+  DP solves, small searches) are solved right there on the thread — no
+  serialization, shared caches; expensive ones (backtracking-heavy)
+  are shipped to a process-pool worker, escaping the GIL so they
+  cannot stall the rest of the traffic.  Each worker
   process keeps its own long-lived pipeline and cache
   (:mod:`repro.service.workers`).
 * **Caching** — the thread backend's pipeline uses a
@@ -1118,18 +1118,18 @@ class SolveService:
 
     def _plan_and_maybe_solve(
         self, request: _Request, options: dict, allow_process: bool
-    ) -> tuple[str, float, Solution | None]:
-        """Runs on a worker thread: plan, and solve if cheap.
+    ) -> Solution | None:
+        """Runs on a worker thread: solve here, or ``None`` to ship it.
 
-        Compiling the target through the sharded cache both feeds the
-        planner and warms the cache every thread-backend solve of this
-        target will hit.  The thread/process decision compares the
-        *chosen* route's predicted cost against the threshold: a
-        search-heavy instance the planner can decide by DP or pebble no
-        longer pays the process hop.  Pebble routing is only considered
-        when the pipeline will actually follow the plan
-        (``config.plan``); otherwise the prediction sticks to the
-        search/DP routes the fixed registry can take.
+        The target is always compiled through the sharded cache: that
+        warms it for every solve of this target, and it trips the kernel
+        breaker under a compile fault (Schaefer-routed solves never
+        compile the target).  A plan is made only when it can change the
+        dispatch: without a process backend (always so in an edge shard)
+        the pipeline's planner plans once, from the cached decomposition.
+        Otherwise the *chosen* route's predicted cost is held against the
+        threshold, so a DP- or pebble-decidable instance stays here; its
+        greedy decomposition is read through the cache, once per source.
 
         Runs under the request's cancellation scope, so an
         already-expired deadline fails fast and a thread-backend solve
@@ -1137,43 +1137,40 @@ class SolveService:
         """
         with cancel_scope(request.token):
             request.token.check()
-            threshold = self._config.process_cost_threshold
-            with child_scope(request.span, "service.plan") as plan_span:
-                ctarget = self.cache.compiled_target(request.target)
-                cost = estimate_cost(
-                    request.source, request.target, ctarget=ctarget
-                )
-                if options["plan"] or (allow_process and cost >= threshold):
-                    # The width estimate (a greedy decomposition) is only
-                    # worth computing when it can change something: the
-                    # pipeline will follow the plan, or the raw search
-                    # estimate would ship the request to a process and a
-                    # cheap DP route could keep it here.  Below-threshold
-                    # requests with planning off skip it — they are
-                    # thread-solved either way, and the fixed registry's
-                    # treewidth route decomposes through the pipeline cache.
-                    cost = plan_instance(
-                        request.source,
-                        request.target,
-                        ctarget=ctarget,
-                        width_threshold=options["width_threshold"],
-                        pebble_k=options["try_pebble_refutation"],
-                        allow_pebble=options["plan"],
-                        datalog_k=options["try_canonical_datalog"],
-                    ).predicted_cost
-                ship = allow_process and cost >= threshold
-                if plan_span is not None:
-                    plan_span.set(
-                        predicted_cost=cost,
-                        backend="process" if ship else "thread",
+            ctarget = self.cache.compiled_target(request.target)
+            if allow_process:
+                threshold = self._config.process_cost_threshold
+                with child_scope(request.span, "service.plan") as span:
+                    cost = estimate_cost(
+                        request.source, request.target, ctarget=ctarget
                     )
-            if ship:
-                return "process", cost, None
+                    if options["plan"] or cost >= threshold:
+                        # Worth a width estimate only when the pipeline
+                        # follows the plan, or DP could keep it here.
+                        cost = plan_instance(
+                            request.source,
+                            request.target,
+                            ctarget=ctarget,
+                            width_threshold=options["width_threshold"],
+                            pebble_k=options["try_pebble_refutation"],
+                            allow_pebble=options["plan"],
+                            datalog_k=options["try_canonical_datalog"],
+                            decomposition_provider=lambda: (
+                                self.cache.decomposition(request.source)
+                            ),
+                        ).predicted_cost
+                    ship = cost >= threshold
+                    if span is not None:
+                        span.set(
+                            predicted_cost=cost,
+                            backend="process" if ship else "thread",
+                        )
+                if ship:
+                    return None
             with child_scope(request.span, "backend.thread"):
-                solution = self.pipeline.solve(
+                return self.pipeline.solve(
                     request.source, request.target, **options
                 )
-            return "thread", cost, solution
 
     def _thread_solve(self, request: _Request, options: dict) -> Solution:
         """Runs on a worker thread: the process-degraded fallback solve."""
@@ -1212,7 +1209,7 @@ class SolveService:
         allow_process = (
             self._supervisor is not None and self._supervisor.available
         )
-        backend, _cost, solution = await self._loop.run_in_executor(
+        solution = await self._loop.run_in_executor(
             self._thread_pool,
             self._plan_and_maybe_solve,
             request,
@@ -1220,7 +1217,7 @@ class SolveService:
             allow_process,
         )
         if solution is not None:
-            return solution, backend
+            return solution, "thread"
         # The plan chose the process backend.  The breaker is consulted
         # only now — a request that never needed a process must not
         # consume its half-open probe slot.

@@ -292,6 +292,30 @@ def test_golden_metrics(edge):
     assert 'repro_kernel_compile_targets_total{shard="1"}' in text
 
 
+def _request_series(edge) -> set[str]:
+    """The ``repro_edge_requests_total`` series in one metrics scrape."""
+    response = edge.raw(b"GET /v1/metrics HTTP/1.1\r\nhost: t\r\n\r\n")
+    text = response.partition(b"\r\n\r\n")[2].decode()
+    return {
+        line.rsplit(" ", 1)[0]
+        for line in text.splitlines()
+        if line.startswith("repro_edge_requests_total{")
+    }
+
+
+def test_unknown_paths_share_one_metric_series(edge):
+    """Scanned or fuzzed paths must not mint a series each."""
+    _request_series(edge)  # so the scrape's own series already exists
+    before = _request_series(edge)
+    for index in range(200):
+        path = f"/v1/scan-{index}" if index % 2 else f"/probe/{index}.php"
+        request = f"GET {path} HTTP/1.1\r\nhost: t\r\n\r\n".encode()
+        assert _status(edge.raw(request)) == 404
+    after = _request_series(edge)
+    assert len(after - before) <= 1
+    assert 'repro_edge_requests_total{route="other",status="404"}' in after
+
+
 def test_keep_alive_reuses_connection(edge):
     responses = edge.raw_keepalive(
         [SOLVE_REQUEST, CONTAINMENT_REQUEST, DATALOG_REQUEST]

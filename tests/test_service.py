@@ -14,7 +14,7 @@ from repro.exceptions import (
 )
 from repro.csp.generators import random_schaefer_target, random_structure
 from repro.service import Priority, ServiceConfig, SolveService
-from repro.structures.graphs import clique, random_graph
+from repro.structures.graphs import clique, cycle, random_graph
 from repro.structures.homomorphism import is_homomorphism
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import Vocabulary
@@ -354,3 +354,77 @@ class TestStats:
             bucket["count"] for bucket in snapshot["routes"].values()
         )
         assert total_route_count == 1
+
+
+class TestPlanOnce:
+    """A served request is planned at most once, by whoever can use it."""
+
+    def test_thread_only_service_leaves_planning_to_the_pipeline(
+        self, monkeypatch
+    ):
+        import repro.service.service as service_module
+
+        calls = []
+        real_plan = service_module.plan_instance
+
+        def counting_plan(*args, **kwargs):
+            calls.append(args)
+            return real_plan(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "plan_instance", counting_plan)
+        config = ServiceConfig(thread_workers=2, process_workers=0, plan=True)
+
+        async def scenario():
+            async with SolveService(config) as service:
+                return [
+                    await service.submit(cycle(6), clique(3))
+                    for _ in range(3)
+                ]
+
+        solutions = asyncio.run(scenario())
+        assert calls == []
+        for solution in solutions:
+            assert solution.exists
+            assert solution.stats.plan is not None
+            assert solution.stats.plan["route"] == "dp"
+
+    def test_process_backend_builds_one_decomposition_per_source(
+        self, monkeypatch
+    ):
+        import repro.treewidth.heuristics as heuristics
+
+        built = []
+        real_decompose = heuristics.decompose
+
+        def counting_decompose(structure, *args, **kwargs):
+            built.append(structure)
+            return real_decompose(structure, *args, **kwargs)
+
+        monkeypatch.setattr(heuristics, "decompose", counting_decompose)
+        config = ServiceConfig(
+            thread_workers=2,
+            process_workers=1,
+            plan=True,
+            # Plan for the process decision, but keep the solve here.
+            process_cost_threshold=float("inf"),
+        )
+
+        async def scenario():
+            async with SolveService(config) as service:
+                # Structurally equal but distinct objects each time, as
+                # decoded requests arrive: no per-object memo can help.
+                solutions = [
+                    await service.submit(cycle(6), clique(3))
+                    for _ in range(3)
+                ]
+                return solutions, service.cache.stats, service.stats
+
+        solutions, cache_stats, stats = asyncio.run(scenario())
+        assert len(built) == 1
+        assert stats.thread_solves == 3 and stats.process_solves == 0
+        for solution in solutions:
+            assert solution.stats.plan is not None
+            # The service-side lookup took the miss; the pipeline hits.
+            assert solution.stats.cache_misses == 0
+        # One miss each for the compiled target and the decomposition.
+        assert cache_stats.misses == 2
