@@ -189,7 +189,9 @@ async def _read_rest(
     body = b""
     raw_length = headers.get("content-length")
     if raw_length is not None:
-        if not raw_length.isdigit():
+        # ASCII digits only: str.isdigit() also accepts e.g. "²" (latin-1
+        # 0xB2), which int() then rejects.
+        if not (raw_length.isascii() and raw_length.isdigit()):
             raise EdgeProtocolError(
                 400, f"invalid content-length: {raw_length!r}"
             )
