@@ -414,8 +414,6 @@ def p01() -> None:
 
 def p02() -> None:
     """The compiled kernel vs the legacy solver, backtracking-heavy only."""
-    from repro.kernel import use_engine
-
     graph = random_graph(18, 0.5, seed=99)
     coloring_8 = W.two_coloring_instance(8, seed=8)
     coloring_64 = W.two_coloring_instance(64, seed=64)
@@ -423,31 +421,29 @@ def p02() -> None:
     workloads = [
         (
             "E8 2-coloring n=8",
-            lambda: solve_backtracking(*coloring_8),
+            lambda e: solve_backtracking(*coloring_8, engine=e),
         ),
         (
             "E8 2-coloring n=64",
-            lambda: solve_backtracking(*coloring_64),
+            lambda e: solve_backtracking(*coloring_64, engine=e),
         ),
         (
             "E13 K5 into G(18,.5)",
-            lambda: solve_backtracking(clique(5), graph),
+            lambda e: solve_backtracking(clique(5), graph, engine=e),
         ),
         (
             "E13 K6 into G(18,.5)",
-            lambda: solve_backtracking(clique(6), graph),
+            lambda e: solve_backtracking(clique(6), graph, engine=e),
         ),
         (
             "E14 containment #preds=6",
-            lambda: contains(q1, q2),
+            lambda e: contains(q1, q2, engine=e),
         ),
     ]
     rows = []
     for label, fn in workloads:
-        with use_engine("kernel"):
-            kernel = timed(fn)
-        with use_engine("legacy"):
-            legacy = timed(fn)
+        kernel = timed(fn, "kernel")
+        legacy = timed(fn, "legacy")
         rows.append([label, ms(kernel), ms(legacy), ratio(legacy / kernel)])
     table(
         "P2 compiled kernel vs legacy solver (backtracking-heavy)",
@@ -458,7 +454,6 @@ def p02() -> None:
 
 def p04() -> None:
     """The decomposition kernel vs legacy: treewidth DP and k-pebble."""
-    from repro.kernel import use_engine
     from _workloads import bounded_treewidth_family
 
     workloads = []
@@ -469,8 +464,8 @@ def p04() -> None:
             (
                 f"E10 {label} K{len(target)}",
                 # bind loop variables now, not at call time
-                lambda s=source, t=target, d=certificate: solve_by_treewidth(
-                    s, t, d
+                lambda e, s=source, t=target, d=certificate: (
+                    solve_by_treewidth(s, t, d, engine=e)
                 ),
             )
         )
@@ -479,21 +474,23 @@ def p04() -> None:
         workloads.append(
             (
                 f"E8 pebble k=3 n={n}",
-                lambda s=source, t=target: spoiler_wins(s, t, 3),
+                lambda e, s=source, t=target: spoiler_wins(
+                    s, t, 3, engine=e
+                ),
             )
         )
         workloads.append(
             (
                 f"E8 tables k=3 n={n}",
-                lambda s=source, t=target: strong_k_consistent(s, t, 3),
+                lambda e, s=source, t=target: strong_k_consistent(
+                    s, t, 3, engine=e
+                ),
             )
         )
     rows = []
     for label, fn in workloads:
-        with use_engine("kernel"):
-            kernel = timed(fn)
-        with use_engine("legacy"):
-            legacy = timed(fn)
+        kernel = timed(fn, "kernel")
+        legacy = timed(fn, "legacy")
         rows.append([label, ms(kernel), ms(legacy), ratio(legacy / kernel)])
     table(
         "P4 decomposition kernel vs legacy (E8/E10)",

@@ -391,12 +391,23 @@ class _ShardHandle:
             lambda message: self._deliver(generation, message),
             lambda: self._on_disconnect(generation),
         )
-        await self.loop.connect_accepted_socket(lambda: pipe, parent_sock)
-        # The first ping doubles as the readiness barrier: the shard
-        # answers only once its service has started (and warmed).
-        pong = await asyncio.wait_for(
-            self._call_raw("ping", {}), self.config.spawn_timeout
-        )
+        try:
+            await self.loop.connect_accepted_socket(lambda: pipe, parent_sock)
+            # The first ping doubles as the readiness barrier: the shard
+            # answers only once its service has started (and warmed).
+            pong = await asyncio.wait_for(
+                self._call_raw("ping", {}), self.config.spawn_timeout
+            )
+        except BaseException:
+            # A shard that never became ready must not outlive the
+            # attempt: it would hold its store partition's writer lock.
+            if pipe.transport is None:
+                parent_sock.close()
+            else:
+                pipe.transport.close()
+            process.kill()
+            process.join(5.0)
+            raise
         self.pid = pong["pid"]
         self._respawn_streak = 0
         self._alive.set()
@@ -417,6 +428,7 @@ class _ShardHandle:
     def _on_disconnect(self, generation: int) -> None:
         if generation != self.generation:
             return
+        ready = self._alive.is_set()
         self._alive.clear()
         inflight, self._inflight = self._inflight, {}
         for future in inflight.values():
@@ -427,8 +439,8 @@ class _ShardHandle:
                         f"{len(inflight)} request(s) in flight"
                     )
                 )
-        if self._closing:
-            return
+        if self._closing or not ready:
+            return  # never ready: ``_spawn`` raises; its caller retries
         self.crashes += 1
         logger.warning(
             "shard %d (pid %s) died; respawning warm", self.index, self.pid

@@ -96,9 +96,8 @@ class EdgeServer:
         self.router: ShardRouter | None = None
         self._server: asyncio.base_events.Server | None = None
         self._open_requests = 0
-        self._draining = False
-        self._drained = asyncio.Event()
-        self._drained.set()
+        #: The one drain; every :meth:`drain` caller awaits its verdict.
+        self._drain_task: asyncio.Task | None = None
         registry = default_registry()
         self._requests_total = registry.counter(
             "repro_edge_requests_total",
@@ -127,7 +126,7 @@ class EdgeServer:
 
     @property
     def draining(self) -> bool:
-        return self._draining
+        return self._drain_task is not None
 
     async def start(self) -> "EdgeServer":
         router_config = RouterConfig(
@@ -154,26 +153,26 @@ class EdgeServer:
         orchestrator can watch the drain); the listening socket closes
         only after the last in-flight request completes and the shards
         have drained their services.  Returns ``True`` when nothing was
-        cut short.  Idempotent.
+        cut short.  Idempotent: a later caller waits for the first drain
+        to finish and returns the same verdict.
         """
-        if timeout is None:
-            timeout = self.config.drain_timeout
-        if self._draining:
-            await self._drained.wait()
-            return True
-        self._draining = True
-        clean = True
+        if self._drain_task is None:
+            if timeout is None:
+                timeout = self.config.drain_timeout
+            self._drain_task = asyncio.ensure_future(self._drain(timeout))
+        return await self._drain_task
+
+    async def _drain(self, timeout: float) -> bool:
         deadline = time.monotonic() + timeout
         while self._open_requests > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
-        if self._open_requests > 0:
-            clean = False
+        clean = self._open_requests == 0
         if self.router is not None:
-            clean = await self.router.drain(max(deadline - time.monotonic(), 0.0)) and clean
+            remaining = max(deadline - time.monotonic(), 0.0)
+            clean = await self.router.drain(remaining) and clean
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self._drained.set()
         return clean
 
     async def stop(self) -> None:
@@ -184,7 +183,7 @@ class EdgeServer:
         return await self.start()
 
     async def __aexit__(self, *_exc_info) -> None:
-        if not self._draining:
+        if not self.draining:
             await self.stop()
 
     # -- the connection loop ---------------------------------------------
@@ -295,7 +294,7 @@ class EdgeServer:
         if route not in _ROUTES:
             raise EdgeProtocolError(404, f"no such endpoint: {request.path}")
         self._expect_method(request, "POST")
-        if self._draining:
+        if self._drain_task is not None:
             return self._error_response(
                 "ServiceClosedError", "edge is draining", 503
             )
@@ -425,8 +424,8 @@ class EdgeServer:
     def _health_body(self) -> dict:
         assert self.router is not None
         return {
-            "status": "draining" if self._draining else "ok",
-            "draining": self._draining,
+            "status": "draining" if self.draining else "ok",
+            "draining": self.draining,
             "num_shards": self.config.num_shards,
             "open_requests": self._open_requests,
             "shards": self.router.shard_states(),

@@ -62,8 +62,8 @@ class FaultInjectedError(ReproError):
     """A deterministic fault-injection point fired (:mod:`repro.faultinject`).
 
     Only ever raised when a fault plan is installed — production traffic
-    cannot see it.  The service treats it like any transient kernel
-    failure: retryable, counted against the kernel circuit breaker.
+    cannot see it.  The service treats it as transient: it retries the
+    request within its retry budget and charges no circuit breaker.
     """
 
 

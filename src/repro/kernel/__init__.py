@@ -49,14 +49,7 @@ from repro.kernel.compile import (
     compile_target,
     initial_domains,
 )
-from repro.kernel.engine import (
-    KERNEL,
-    LEGACY,
-    default_engine,
-    resolve_engine,
-    set_default_engine,
-    use_engine,
-)
+from repro.kernel.engine import KERNEL, LEGACY, resolve_engine
 from repro.kernel.corek import core_structure, is_core_structure, retraction
 from repro.kernel.datalogk import (
     CompiledDatalog,
@@ -89,7 +82,6 @@ __all__ = [
     "count_solutions",
     "datalog_goal_holds",
     "decomposition_exists",
-    "default_engine",
     "estimate_cost",
     "evaluate_datalog",
     "initial_domains",
@@ -101,10 +93,8 @@ __all__ = [
     "resolve_engine",
     "retraction",
     "search_homomorphisms",
-    "set_default_engine",
     "solve",
     "solve_decomposition",
     "spoiler_wins_k",
     "spoiler_wins_k2",
-    "use_engine",
 ]

@@ -1,69 +1,24 @@
 """The engine flag: compiled kernel vs legacy reference implementations.
 
-The kernel is the default execution engine everywhere; the legacy
-pure-dict solvers stay available as the parity oracle.  Selection, most
-specific wins:
-
-1. an explicit ``engine=`` argument to a solver call;
-2. the process default, set via :func:`set_default_engine` or the
-   :func:`use_engine` context manager (the benchmark harness uses the
-   latter for its kernel-vs-legacy tables);
-3. the ``REPRO_ENGINE`` environment variable (``kernel`` or ``legacy``)
-   read at import time.
+The kernel is the engine of every call that does not name one, and the
+only engine the service and the edge reach.  The legacy pure-dict
+solvers stay as the parity oracle, reachable only through an explicit
+``engine="legacy"`` argument.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-__all__ = [
-    "KERNEL",
-    "LEGACY",
-    "default_engine",
-    "resolve_engine",
-    "set_default_engine",
-    "use_engine",
-]
+__all__ = ["KERNEL", "LEGACY", "resolve_engine"]
 
 KERNEL = "kernel"
 LEGACY = "legacy"
 _ENGINES = (KERNEL, LEGACY)
 
-_default = os.environ.get("REPRO_ENGINE", KERNEL)
-if _default not in _ENGINES:
-    raise ValueError(
-        f"REPRO_ENGINE must be one of {_ENGINES}, got {_default!r}"
-    )
-
-
-def default_engine() -> str:
-    """The engine used when a call passes ``engine=None``."""
-    return _default
-
-
-def set_default_engine(engine: str) -> None:
-    """Set the process-wide default engine."""
-    global _default
-    _default = resolve_engine(engine)
-
 
 def resolve_engine(engine: str | None) -> str:
-    """Validate an ``engine=`` argument, defaulting to the process engine."""
+    """Validate an ``engine=`` argument; ``None`` means the kernel."""
     if engine is None:
-        return _default
+        return KERNEL
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
     return engine
-
-
-@contextmanager
-def use_engine(engine: str) -> Iterator[None]:
-    """Temporarily switch the process default engine."""
-    previous = _default
-    set_default_engine(engine)
-    try:
-        yield
-    finally:
-        set_default_engine(previous)

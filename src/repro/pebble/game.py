@@ -27,9 +27,7 @@ Two engines compute the fixpoint.  The default is the generalized
 compiled k-pebble engine (:mod:`repro.kernel.pebblek` — bitset tables
 over ≤ k-subassignments, worklist propagation with residuals), which
 produces the *identical* greatest family; the deletion loop below stays
-as the parity oracle, selectable per call with ``engine="legacy"`` or
-process-wide via :func:`repro.kernel.set_default_engine` / the
-``REPRO_ENGINE`` environment variable.
+as the parity oracle, selectable per call with ``engine="legacy"``.
 """
 
 from __future__ import annotations

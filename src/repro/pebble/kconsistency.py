@@ -14,7 +14,7 @@ existential k-pebble game.
 The default engine is the generalized compiled k-pebble fixpoint
 (:mod:`repro.kernel.pebblek`), which returns the identical tables; the
 table-filtering loop below remains as the parity oracle behind
-``engine="legacy"`` / ``REPRO_ENGINE=legacy``.
+``engine="legacy"``.
 """
 
 from __future__ import annotations

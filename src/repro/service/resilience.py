@@ -13,9 +13,9 @@ cause is worth routing around.*  This module supplies both halves:
   breaker; after ``cooldown`` seconds one *probe* request is let through
   (half-open); its outcome closes or re-opens the breaker.  While open,
   the service degrades the route to its semantically equivalent
-  fallback — process backend → thread backend, compiled kernel → legacy
-  engine, canonical Datalog → planner search — so answers stay exact,
-  only slower.
+  fallback — process backend → thread backend, canonical Datalog →
+  planner search — so answers stay exact, only slower.  The kernel has
+  no breaker: a slower engine must not hide a kernel bug.
 
 Every breaker method runs on the service's event-loop thread, so the
 state machine needs no locking; the optional ``on_transition`` callback
@@ -190,7 +190,7 @@ def classify(exc: BaseException) -> tuple[FailureKind, str | None]:
     if isinstance(exc, WorkerCrashedError):
         return FailureKind.TRANSIENT, "process"
     if isinstance(exc, FaultInjectedError):
-        return FailureKind.TRANSIENT, "kernel"
+        return FailureKind.TRANSIENT, None
     if isinstance(exc, ResourceBudgetError):
         return FailureKind.DEGRADE_DATALOG, "datalog"
     if isinstance(exc, SolveTimeoutError):

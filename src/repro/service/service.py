@@ -49,8 +49,8 @@ databases.  :class:`SolveService` is that serving layer:
   its worker; transient failures retry within a per-request budget; and
   per-route circuit breakers (:mod:`repro.service.resilience`) degrade a
   repeatedly failing route to its semantically equivalent fallback —
-  process → thread, compiled kernel → legacy engine, canonical Datalog →
-  planner search — so answers stay exact under faults.
+  process → thread, canonical Datalog → planner search — so answers stay
+  exact under faults.  Every solve runs on the compiled kernel.
 
 Typical use::
 
@@ -107,7 +107,6 @@ from repro.service.stats import ServiceStats
 from repro.service.supervision import SupervisedProcessPool
 from repro.service.workers import process_solve
 from repro.structures.fingerprint import instance_fingerprint
-from repro.structures.homomorphism import find_homomorphism
 from repro.structures.structure import Structure
 
 __all__ = ["Priority", "ServiceConfig", "SolveService"]
@@ -135,7 +134,10 @@ def _env_store_max_bytes_default() -> int | None:
     try:
         return int(value)
     except ValueError:
-        return None
+        raise ValueError(
+            f"REPRO_STORE_MAX_BYTES must be an integer byte count, "
+            f"got {value!r}"
+        ) from None
 
 
 #: Breaker states as gauge values (exposition can't carry enums).
@@ -177,11 +179,11 @@ class ServiceConfig:
     attempts a request gets after a transient failure (worker crash,
     injected fault, budget degradation), always within the request's
     remaining deadline.  ``breaker_threshold`` consecutive failures of a
-    degradable route (process backend, kernel compile, canonical
-    Datalog) open that route's circuit breaker; after
-    ``breaker_cooldown`` seconds one probe request tests the route
-    again.  ``worker_restart_backoff`` is the base of the supervisor's
-    exponential respawn backoff after a worker-process crash.
+    degradable route (process backend, canonical Datalog) open that
+    route's circuit breaker; after ``breaker_cooldown`` seconds one
+    probe request tests the route again.  ``worker_restart_backoff`` is
+    the base of the supervisor's exponential respawn backoff after a
+    worker-process crash.
 
     ``trace=True`` opens a root span per admitted request and threads it
     through every layer the request crosses — queue, retry loop, backend
@@ -196,13 +198,13 @@ class ServiceConfig:
     service starts *warm*: with ``store_warm`` (default) every persisted
     structure artifact is seeded into the sharded cache and every
     compiled query into the containment fast path before the first
-    request is admitted.  ``store_max_bytes`` (``REPRO_STORE_MAX_BYTES``)
-    bounds the log via newest-first compaction.  ``drain_timeout`` is
-    :meth:`SolveService.drain`'s default grace period before in-flight
-    solves are cooperatively cancelled.  A store that cannot be opened
-    (writer lock held, unwritable path) logs a warning and the service
-    runs store-less — persistence is an accelerator, never a
-    prerequisite for answering.
+    request is admitted.  ``store_max_bytes`` (``REPRO_STORE_MAX_BYTES``,
+    an integer) bounds the log via newest-first compaction.
+    ``drain_timeout`` is :meth:`SolveService.drain`'s default grace
+    period before in-flight solves are cooperatively cancelled.  A store
+    that cannot be opened (writer lock held, unwritable path, a bound
+    below the header size) logs a warning and the service runs
+    store-less — persistence is an accelerator, never a prerequisite.
     """
 
     thread_workers: int = 4
@@ -303,8 +305,8 @@ class SolveService:
         self.metrics = default_registry()
         #: One circuit breaker per degradable route.  While a breaker is
         #: open the route is served by its semantically equivalent
-        #: fallback: "process" → the thread backend, "kernel" → the
-        #: legacy engine, "datalog" → the planner's search route.
+        #: fallback: "process" → the thread backend, "datalog" → the
+        #: planner's search route.
         self.breakers: dict[str, CircuitBreaker] = {
             name: CircuitBreaker(
                 name,
@@ -312,7 +314,7 @@ class SolveService:
                 cooldown=self._config.breaker_cooldown,
                 on_transition=self._note_breaker_transition,
             )
-            for name in ("process", "kernel", "datalog")
+            for name in ("process", "datalog")
         }
         #: The persistent artifact store (opened by :meth:`start` when
         #: the config names a path; ``None`` while stopped, after a
@@ -550,7 +552,7 @@ class SolveService:
                 max_bytes=config.store_max_bytes,
                 recorder=self.recorder,
             )
-        except (OSError, ArtifactStoreError) as exc:
+        except (OSError, ArtifactStoreError, ValueError) as exc:
             _log.warning(
                 "artifact store unavailable at %s: %s — serving store-less",
                 config.store_path,
@@ -1122,11 +1124,11 @@ class SolveService:
         """Runs on a worker thread: solve here, or ``None`` to ship it.
 
         The target is always compiled through the sharded cache: that
-        warms it for every solve of this target, and it trips the kernel
-        breaker under a compile fault (Schaefer-routed solves never
-        compile the target).  A plan is made only when it can change the
-        dispatch: without a process backend (always so in an edge shard)
-        the pipeline's planner plans once, from the cached decomposition.
+        warms it for every solve of this target, and an injected compile
+        fault fires here even on a Schaefer route.  A plan is made only
+        when it can change the dispatch: without a process backend
+        (always so in an edge shard) the pipeline's planner plans once,
+        from the cached decomposition.
         Otherwise the *chosen* route's predicted cost is held against the
         threshold, so a DP- or pebble-decidable instance stays here; its
         greedy decomposition is read through the cache, once per source.
@@ -1180,22 +1182,6 @@ class SolveService:
             return self.pipeline.solve(
                 request.source, request.target, **options
             )
-
-    def _legacy_solve(self, request: _Request) -> Solution:
-        """Runs on a worker thread: the kernel-breaker fallback.
-
-        The legacy reference engine decides the same instance without
-        touching the compiled-kernel plane at all (no ``compile_target``,
-        no bitsets), so it keeps answering — exactly, just slower — while
-        the kernel breaker is open.
-        """
-        with cancel_scope(request.token), child_scope(
-            request.span, "backend.legacy", degraded="kernel-breaker"
-        ):
-            assignment = find_homomorphism(
-                request.source, request.target, engine="legacy"
-            )
-        return Solution(assignment, "legacy-engine(kernel-breaker)")
 
     def _deadline_remaining(self, request: _Request) -> float | None:
         deadline = request.token.deadline
@@ -1299,20 +1285,10 @@ class SolveService:
             ):
                 attempt_options = dict(options, try_canonical_datalog=None)
                 self.stats.note_degraded("datalog")
-            use_legacy = not breakers["kernel"].allow()
-            if use_legacy:
-                self.stats.note_degraded("kernel")
             try:
-                if use_legacy:
-                    assert self._loop and self._thread_pool
-                    solution = await self._loop.run_in_executor(
-                        self._thread_pool, self._legacy_solve, request
-                    )
-                    backend = "thread"
-                else:
-                    solution, backend = await self._attempt(
-                        request, attempt_options
-                    )
+                solution, backend = await self._attempt(
+                    request, attempt_options
+                )
             except Exception as exc:  # noqa: BLE001 — classified below
                 kind, breaker_name = classify(exc)
                 if isinstance(exc, WorkerCrashedError):
@@ -1342,8 +1318,6 @@ class SolveService:
                 if attempt + 1 >= attempts or request.token.expired():
                     raise
                 continue
-            if not use_legacy:
-                breakers["kernel"].record_success()
             if attempt_options.get("try_canonical_datalog") is not None:
                 breakers["datalog"].record_success()
             if attempt:

@@ -62,8 +62,8 @@ class ServiceStats:
     #: Process-pool rebuilds performed by the supervisor after a crash.
     worker_restarts: int = 0
     #: Requests served by a degraded route while a breaker was open,
-    #: keyed by breaker name ("process" → thread backend, "kernel" →
-    #: legacy engine, "datalog" → planner search).
+    #: keyed by breaker name ("process" → thread backend, "datalog" →
+    #: planner search).
     degraded: dict[str, int] = field(default_factory=dict)
     #: Circuit-breaker transition counts keyed ``"name:state"`` (e.g.
     #: ``"process:open"``), plus each breaker's current state below.

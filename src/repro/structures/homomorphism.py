@@ -23,10 +23,8 @@ Two engines implement it.  The default is the compiled bitset kernel
 (:mod:`repro.kernel`), which visits the identical search tree on
 integer-indexed masks; the original pure-dict search below remains the
 reference semantics — same answers, in the same deterministic order —
-selectable per call with ``engine="legacy"`` or process-wide via
-:func:`repro.kernel.set_default_engine` / the ``REPRO_ENGINE``
-environment variable, and held to exact agreement by the randomized
-parity suite.
+selectable per call with ``engine="legacy"``, and held to exact
+agreement by the randomized parity suite.
 """
 
 from __future__ import annotations

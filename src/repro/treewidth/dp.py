@@ -17,9 +17,7 @@ Two engines implement the DP.  The default is the compiled bitset
 kernel (:mod:`repro.kernel.decomp` — nice-decomposition specialization,
 int-coded bag tables, support-bitset semijoins); the original
 bag-map-enumeration implementation below stays as the parity oracle,
-selectable per call with ``engine="legacy"`` or process-wide via
-:func:`repro.kernel.set_default_engine` / the ``REPRO_ENGINE``
-environment variable.  Both return the same existence verdict on every
+selectable per call with ``engine="legacy"``.  Both return the same existence verdict on every
 instance and always a valid homomorphism (witness elements may differ).
 """
 

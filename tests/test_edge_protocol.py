@@ -648,6 +648,40 @@ def test_draining_edge_rejects_new_work_and_finishes_inflight():
     assert edge.sentry.messages() == []
 
 
+def test_concurrent_drain_waits_for_and_returns_the_first_verdict():
+    import asyncio
+
+    config = EdgeConfig(num_shards=1, max_body_bytes=4 * 1024 * 1024)
+    with RunningEdge(config) as edge:
+        worker = threading.Thread(
+            target=edge.raw,
+            args=(_slow_solve_request(),),
+            kwargs={"timeout": 120},
+            daemon=True,
+        )
+        worker.start()
+        wait_for(
+            lambda: edge.server._open_requests > 0,
+            timeout=60,
+            what="the slow request to be in flight",
+        )
+
+        async def two_drains():
+            first = asyncio.ensure_future(edge.server.drain(0.5))
+            await asyncio.sleep(0)  # the first call starts the drain
+            started = time.monotonic()
+            second = await edge.server.drain(0.5)
+            return await first, second, time.monotonic() - started
+
+        first, second, waited = edge.run(two_drains(), timeout=120)
+        # The slow request outlives the grace period: not clean, and the
+        # second caller saw the first drain through before answering.
+        assert first is False
+        assert second is False
+        assert waited >= 0.4
+        worker.join(timeout=120)
+
+
 def test_sigterm_drains_and_exits():
     """``python -m repro.edge`` wires SIGTERM → drain-then-exit."""
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -256,3 +256,19 @@ def test_send_after_sigkill_raises_shard_crashed_promptly():
         await router.drain(1.0)
 
     asyncio.run(main())
+
+
+def test_failed_readiness_ping_leaves_no_shard_process():
+    async def main() -> None:
+        # No fresh interpreter answers its first ping within 50 ms.
+        router = _router(spawn_timeout=0.05)
+        with pytest.raises(asyncio.TimeoutError):
+            await router.start()
+
+    asyncio.run(main())
+    shards = [
+        child
+        for child in multiprocessing.active_children()
+        if child.name.startswith("repro-edge-shard-")
+    ]
+    assert not shards, f"orphaned shard processes: {shards}"

@@ -16,12 +16,7 @@ from repro.kernel import (
     solve,
     spoiler_wins_k2,
 )
-from repro.kernel.engine import (
-    default_engine,
-    resolve_engine,
-    set_default_engine,
-    use_engine,
-)
+from repro.kernel.engine import resolve_engine
 from repro.pebble.game import spoiler_wins
 from repro.structures.graphs import clique, cycle, path
 from repro.structures.homomorphism import SearchStats, find_homomorphism
@@ -257,24 +252,12 @@ class TestPebble2:
 
 
 class TestEngineFlag:
-    def test_default_follows_environment(self):
-        import os
-
-        assert default_engine() == os.environ.get("REPRO_ENGINE", "kernel")
-        assert resolve_engine(None) == default_engine()
-
-    def test_use_engine_restores(self):
-        before = default_engine()
-        other = "legacy" if before == "kernel" else "kernel"
-        with use_engine(other):
-            assert default_engine() == other
-        assert default_engine() == before
+    def test_none_resolves_to_kernel(self):
+        assert resolve_engine(None) == "kernel"
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError):
             resolve_engine("c")
-        with pytest.raises(ValueError):
-            set_default_engine("fast")
         with pytest.raises(ValueError):
             find_homomorphism(cycle(3), clique(3), engine="bogus")
 

@@ -344,6 +344,33 @@ class TestWarmRestart:
         finally:
             holder.close()
 
+    def test_store_max_bytes_below_header_degrades_to_storeless_service(
+        self, tmp_path, monkeypatch
+    ):
+        """A bound the store rejects is logged; the service runs store-less."""
+        monkeypatch.setenv("REPRO_STORE_MAX_BYTES", "10")
+        corpus = _corpus(2)
+        expected = _expected(corpus)
+        config = ServiceConfig(
+            process_workers=0, store_path=str(tmp_path / "store")
+        )
+        assert config.store_max_bytes == 10
+
+        async def scenario():
+            async with SolveService(config) as service:
+                assert service.store is None
+                for (source, target), truth in zip(corpus, expected):
+                    solution = await service.submit(source, target)
+                    assert solution.exists == truth
+
+        asyncio.run(asyncio.wait_for(scenario(), CHAOS_TIMEOUT))
+
+    def test_non_integer_store_max_bytes_is_rejected(self, monkeypatch):
+        """``64MB`` is not read as "no bound": the variable is named."""
+        monkeypatch.setenv("REPRO_STORE_MAX_BYTES", "64MB")
+        with pytest.raises(ValueError, match="REPRO_STORE_MAX_BYTES"):
+            ServiceConfig()
+
 
 # ---------------------------------------------------------------------------
 # Graceful drain

@@ -35,7 +35,6 @@ from repro.csp.generators import (
     random_structure,
     random_two_atom_query,
 )
-from repro.kernel import use_engine
 from repro.structures.product import core, is_core, retract_onto
 from repro.structures.vocabulary import Vocabulary
 
@@ -112,17 +111,6 @@ class TestContainmentParity:
                 negative += 1
         # the stream must exercise both outcomes
         assert positive >= 20 and negative >= 20
-
-    def test_process_default_engine_parity(self):
-        """Switching the process default (the REPRO_ENGINE path) agrees
-        with the per-call keyword."""
-        for seed in range(0, NUM_PAIRS, 5):
-            q1, q2 = _query_pair(seed)
-            with use_engine("legacy"):
-                legacy = contains(_fresh(q1), _fresh(q2))
-            with use_engine("kernel"):
-                kernel = contains(_fresh(q1), _fresh(q2))
-            assert kernel == legacy, f"seed {seed}"
 
     def test_compiled_vs_uncompiled_entry_points(self):
         """A memoized CompiledQuery answers like a fresh rebuild."""

@@ -143,7 +143,7 @@ class TestClassify:
         ("exc", "kind", "breaker"),
         [
             (WorkerCrashedError("x"), FailureKind.TRANSIENT, "process"),
-            (FaultInjectedError("x"), FailureKind.TRANSIENT, "kernel"),
+            (FaultInjectedError("x"), FailureKind.TRANSIENT, None),
             (ResourceBudgetError("x"), FailureKind.DEGRADE_DATALOG, "datalog"),
             (SolveTimeoutError("x"), FailureKind.TIMEOUT, None),
             (ValueError("x"), FailureKind.PERMANENT, None),
